@@ -859,24 +859,32 @@ func BenchmarkServeArtifact(b *testing.B) {
 	})
 }
 
+// checkTraces returns the line-rate benchmarks' trace of lines events in
+// both decoder front-ends: a FREE/NOT_FREE alternation, which never
+// crosses a quorum threshold, so every line is accepted and the commit
+// machine never finishes.
+func checkTraces(lines int) (jsonl, text []byte) {
+	var j, t bytes.Buffer
+	for i := 0; i < lines; i++ {
+		if i%2 == 0 {
+			j.WriteString("{\"msg\":\"FREE\"}\n")
+			t.WriteString("12:00:00.001 member-0 recv FREE from member-1\n")
+		} else {
+			j.WriteString("{\"msg\":\"NOT_FREE\"}\n")
+			t.WriteString("12:00:00.002 member-0 recv NOT_FREE from member-1\n")
+		}
+	}
+	return j.Bytes(), t.Bytes()
+}
+
 // BenchmarkTraceCheck measures streaming trace conformance at line rate:
-// a long non-finishing trace (FREE/NOT_FREE alternation never crosses a
-// quorum threshold) checked against the commit machine, per decoder
-// front-end. Memory stays bounded by the longest line regardless of
-// trace length.
+// a long non-finishing trace checked against the commit machine, per
+// decoder front-end. Memory stays bounded by the longest line regardless
+// of trace length.
 func BenchmarkTraceCheck(b *testing.B) {
 	machine := buildCommitMachine(b, 4)
 	const lines = 1000
-	var jsonl, text bytes.Buffer
-	for i := 0; i < lines; i++ {
-		if i%2 == 0 {
-			jsonl.WriteString("{\"msg\":\"FREE\"}\n")
-			text.WriteString("12:00:00.001 member-0 recv FREE from member-1\n")
-		} else {
-			jsonl.WriteString("{\"msg\":\"NOT_FREE\"}\n")
-			text.WriteString("12:00:00.002 member-0 recv NOT_FREE from member-1\n")
-		}
-	}
+	jsonl, text := checkTraces(lines)
 	run := func(b *testing.B, format string, data []byte) {
 		mon, err := trace.NewMonitor(
 			trace.WithTarget("", machine),
@@ -903,8 +911,47 @@ func BenchmarkTraceCheck(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)*lines/b.Elapsed().Seconds(), "lines/s")
 	}
-	b.Run("jsonl", func(b *testing.B) { run(b, trace.FormatJSONL, jsonl.Bytes()) })
-	b.Run("regex", func(b *testing.B) { run(b, trace.FormatRegex, text.Bytes()) })
+	b.Run("jsonl", func(b *testing.B) { run(b, trace.FormatJSONL, jsonl) })
+	b.Run("regex", func(b *testing.B) { run(b, trace.FormatRegex, text) })
+}
+
+// BenchmarkCheckRoute is BenchmarkTraceCheck's wire rung: the same traces
+// posted to POST /v1/models/commit/check on a loopback server, one stream
+// per iteration over a reused HTTP/1 connection, the SSE response read
+// to its summary. The gap to BenchmarkTraceCheck is the per-line cost of
+// the check handler, the event stream and the wire.
+func BenchmarkCheckRoute(b *testing.B) {
+	const lines = 1000
+	jsonl, text := checkTraces(lines)
+	ts := httptest.NewServer(api.NewHandler(artifact.New()))
+	defer ts.Close()
+	summary := []byte(fmt.Sprintf("event: summary\ndata: {\"kind\":\"summary\",\"stats\":{\"lines\":%d,\"events\":%[1]d,\"accepted\":%[1]d,", lines))
+	var resp bytes.Buffer
+	post := func(b *testing.B, format string, data []byte) {
+		r, err := ts.Client().Post(ts.URL+"/v1/models/commit/check?r=4&format="+format,
+			"text/plain", bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Reset()
+		_, err = resp.ReadFrom(r.Body)
+		r.Body.Close()
+		if err != nil || r.StatusCode != http.StatusOK || !bytes.Contains(resp.Bytes(), summary) {
+			b.Fatalf("status %d, err %v, response ends %q", r.StatusCode, err, resp.Bytes()[max(resp.Len()-200, 0):])
+		}
+	}
+	run := func(b *testing.B, format string, data []byte) {
+		post(b, format, data) // generate the machine, open the connection
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(b, format, data)
+		}
+		b.ReportMetric(float64(b.N)*lines/b.Elapsed().Seconds(), "lines/s")
+	}
+	b.Run("jsonl", func(b *testing.B) { run(b, trace.FormatJSONL, jsonl) })
+	b.Run("regex", func(b *testing.B) { run(b, trace.FormatRegex, text) })
 }
 
 // BenchmarkFleetSim measures the fleet-scale simulation engine (E17): one

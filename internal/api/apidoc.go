@@ -75,7 +75,17 @@ func (h *Handler) Markdown() string {
 	b.WriteString("whose data is the standard error envelope (`bad_trace` for\n")
 	b.WriteString("undecodable input, `trace_aborted` for a failed trace read).\n")
 	b.WriteString("Preflight failures — unknown model, bad parameter, bad pattern —\n")
-	b.WriteString("are ordinary JSON-envelope responses; the event stream never starts.\n")
+	b.WriteString("are ordinary JSON-envelope responses; the event stream never starts.\n\n")
+	b.WriteString("Before the server waits for more of the trace, it flushes the\n")
+	b.WriteString("verdicts for all input received so far, so a client may write a line\n")
+	b.WriteString("and wait for its verdict before writing the next. The server's read\n")
+	b.WriteString("and write timeouts are idle limits here: a trace may stream for as\n")
+	b.WriteString("long as it keeps moving, and one that stalls past the read timeout\n")
+	b.WriteString("ends in a `trace_aborted` error event. Over HTTP/1 the connection\n")
+	b.WriteString("is reused for the next request once the trace body has been sent to\n")
+	b.WriteString("its end and the stream has ended. A run stopped early, at a violation\n")
+	b.WriteString("without `keep_going`, stops reading the body, and its connection may\n")
+	b.WriteString("be closed instead.\n")
 
 	b.WriteString("\n## Cluster tier\n\n")
 	b.WriteString("A server started with `-cluster` joins a peer ring (see DESIGN.md,\n")
@@ -105,7 +115,7 @@ func (h *Handler) Markdown() string {
 	b.WriteString("| `invalid_spec` | 400 | model spec rejected; the message lists every diagnostic with its document path |\n")
 	b.WriteString("| `model_exists` | 409 | spec name already registered; unregister it first to replace |\n")
 	b.WriteString("| `bad_trace` | 400 (or in-stream `error` event) | bad trace format/pattern, or undecodable trace content |\n")
-	b.WriteString("| `trace_aborted` | in-stream `error` event | trace body read failed mid-check |\n")
+	b.WriteString("| `trace_aborted` | in-stream `error` event | trace body read failed or went idle past the read timeout mid-check |\n")
 	b.WriteString("| `not_clustered` | 404 | cluster-internal route on a server not started with `-cluster` |\n")
 	b.WriteString("| `bad_cluster_payload` | 400 | undecodable gossip view or propagation blob, or a blob failing content verification |\n")
 	b.WriteString("| `proxy_failed` | 502 | the key's owning node was unreachable while proxying; retry after the next gossip round |\n")

@@ -3,8 +3,11 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"os"
 	"strconv"
+	"time"
 
 	"asagen/internal/artifact"
 	"asagen/internal/trace"
@@ -95,7 +98,12 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	dec, err := trace.NewDecoder(format, r.Body, rules)
+	rc := http.NewResponseController(w)
+	body := &flushBeforeRead{body: r.Body, rc: rc}
+	if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
+		body.readIdle, body.writeIdle = srv.ReadTimeout, srv.WriteTimeout
+	}
+	dec, err := trace.NewDecoder(format, body, rules)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadTrace, err.Error())
 		return
@@ -107,21 +115,18 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	header.Set("Content-Type", "text/event-stream; charset=utf-8")
 	header.Set("Cache-Control", "no-store")
 	header.Set("X-Accel-Buffering", "no")
-	if r.ProtoMajor == 1 {
-		// Without this the HTTP/1 server drains the unread request body
-		// before releasing the response headers, to keep the connection
-		// reusable — a deadlock when the trace is still streaming in.
-		// Responses and trace bodies interleave here, so the connection
-		// could never be reused anyway.
-		header.Set("Connection", "close")
-	}
-	rc := http.NewResponseController(w)
+	// Verdicts are written while the trace is still arriving. By default
+	// the HTTP/1 server consumes the unread body before it sends the
+	// response headers: a deadlock on a live trace. Full duplex lets reads
+	// and writes interleave, and a body read to EOF leaves the connection
+	// reusable. HTTP/2 streams are always full duplex. The call fails
+	// only on a ResponseWriter that hides the connection, and then the
+	// first flush fails too and ends the stream.
+	_ = rc.EnableFullDuplex()
 	w.WriteHeader(http.StatusOK)
-	// Push the headers out now: verdicts may be a long time coming on a
-	// live trace, and SSE clients act on the content type immediately.
-	if rc.Flush() != nil {
-		return
-	}
+	// Nothing is flushed here: the body's first read flushes the headers,
+	// each later read the events written since, and the server flushes
+	// the rest when the handler returns.
 	var buf []byte
 	writeEvent := func(name string, data []byte) bool {
 		buf = buf[:0]
@@ -130,10 +135,8 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		buf = append(buf, "\ndata: "...)
 		buf = append(buf, data...)
 		buf = append(buf, "\n\n"...)
-		if _, err := w.Write(buf); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
+		_, err := w.Write(buf)
+		return err == nil
 	}
 	var verdictBuf []byte
 	opts := []trace.MonitorOption{
@@ -157,7 +160,12 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var de *trace.DecodeError
 	switch {
 	case errors.Is(err, trace.ErrStopped):
-		// A verdict write failed; the client is gone.
+		// A verdict write or flush failed; the client is gone.
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		// The trace went idle for longer than the server's ReadTimeout.
+		// The failed read cancelled the request context, but the client
+		// is still listening: tell it why the stream ends.
+		writeEvent("error", envelopeJSON(CodeTraceAborted, err.Error()))
 	case r.Context().Err() != nil:
 		// Cancelled mid-run; nothing useful can be written.
 	case err == nil:
@@ -168,6 +176,36 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeEvent("error", envelopeJSON(CodeTraceAborted, err.Error()))
 	}
+}
+
+// flushBeforeRead is the trace body as the monitor reads it. Before each
+// read it flushes the events written so far, so no verdict waits behind
+// input that has not arrived yet, while a burst of lines that arrived
+// together costs one flush instead of one per verdict. It also turns the
+// server's total ReadTimeout and WriteTimeout into idle timeouts: each
+// read may wait up to ReadTimeout for the client, and the events for the
+// input it returns have WriteTimeout to reach the client, so a live
+// trace may stream for as long as it keeps moving.
+type flushBeforeRead struct {
+	body                io.Reader
+	rc                  *http.ResponseController
+	readIdle, writeIdle time.Duration
+}
+
+// Read implements io.Reader. Deadline errors are dropped: a connection
+// that cannot take a deadline keeps the server's total timeouts.
+func (f *flushBeforeRead) Read(p []byte) (int, error) {
+	if f.rc.Flush() != nil {
+		return 0, trace.ErrStopped
+	}
+	if f.readIdle > 0 {
+		_ = f.rc.SetReadDeadline(time.Now().Add(f.readIdle))
+	}
+	n, err := f.body.Read(p)
+	if f.writeIdle > 0 {
+		_ = f.rc.SetWriteDeadline(time.Now().Add(f.writeIdle))
+	}
+	return n, err
 }
 
 // envelopeJSON renders the standard error envelope as a compact JSON

@@ -1,13 +1,17 @@
 package api
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,4 +304,221 @@ func TestCheckRouteClientDisconnect(t *testing.T) {
 		t.Fatal("handler still running 5s after client disconnect")
 	}
 	pw.Close()
+}
+
+// readEvent reads one SSE event block from a live stream.
+func readEvent(t *testing.T, br *bufio.Reader) sseEvent {
+	t.Helper()
+	var block []string
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading event after %q: %v", block, err)
+		}
+		if line == "\n" {
+			break
+		}
+		block = append(block, line)
+	}
+	return parseSSE(t, strings.Join(block, "")+"\n")[0]
+}
+
+// TestCheckRouteLockstepKeepAlive pins liveness and connection reuse: a
+// client that writes one line and waits for its verdict before writing
+// the next is never stalled, and streams read to EOF leave the HTTP/1
+// connection reusable.
+func TestCheckRouteLockstepKeepAlive(t *testing.T) {
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(NewHandler(artifact.New()))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	// A verdict held back until more input arrives would stall the
+	// lockstep: the deadline turns that stall into a failure.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const lines = 50
+	for stream := 0; stream < 3; stream++ {
+		pr, pw := io.Pipe()
+		context.AfterFunc(ctx, func() { pr.CloseWithError(ctx.Err()) })
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			ts.URL+"/v1/models/commit/check?r=4", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(resp.Body)
+		for i := 0; i < lines; i++ {
+			msg := "\"FREE\"\n"
+			if i%2 == 1 {
+				msg = "\"NOT_FREE\"\n"
+			}
+			if _, err := io.WriteString(pw, msg); err != nil {
+				t.Fatal(err)
+			}
+			if ev := readEvent(t, br); ev.name != "accepted" {
+				t.Fatalf("stream %d line %d: event %q, want accepted", stream, i+1, ev.name)
+			}
+		}
+		pw.Close()
+		if ev := readEvent(t, br); ev.name != "summary" || !strings.Contains(ev.data, `"lines":50`) {
+			t.Fatalf("stream %d: terminal event %+v", stream, ev)
+		}
+		if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+			t.Fatalf("stream %d: after summary: %q, %v", stream, rest, err)
+		}
+		resp.Body.Close()
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("3 streams used %d connections, want 1", n)
+	}
+}
+
+// TestCheckRouteEarlyStopWithOpenBody pins the stop at the first
+// violation: without keep_going the client gets the summary and the
+// handler returns while the trace body is still open.
+func TestCheckRouteEarlyStopWithOpenBody(t *testing.T) {
+	handlerDone := make(chan struct{})
+	inner := NewHandler(artifact.New())
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(handlerDone)
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	resp, err := ts.Client().Post(ts.URL+"/v1/models/commit/check?r=4", "application/jsonl", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.WriteString(pw, "\"FREE\"\n\"BOGUS\"\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(resp.Body)
+	var names []string
+	for _, ev := range []sseEvent{readEvent(t, br), readEvent(t, br), readEvent(t, br)} {
+		names = append(names, ev.name)
+	}
+	if strings.Join(names, ",") != "accepted,violation,summary" {
+		t.Fatalf("events = %v", names)
+	}
+	select {
+	case <-handlerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler still running 5s after the violation")
+	}
+}
+
+// flakyFlushWriter is a recorder whose connection dies after the first
+// flush.
+type flakyFlushWriter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (w *flakyFlushWriter) FlushError() error {
+	if w.flushes++; w.flushes > 1 {
+		return errors.New("connection reset by peer")
+	}
+	return nil
+}
+
+// TestCheckRouteFlushFailureStopsQuietly pins the client-gone stop: when
+// the flush before a body read fails, the run ends without writing a
+// trace_aborted event to the dead connection.
+func TestCheckRouteFlushFailureStopsQuietly(t *testing.T) {
+	h := NewHandler(artifact.New())
+	// Each line arrives in its own read, so the second read's flush is
+	// the one that fails, after one verdict.
+	body := io.MultiReader(strings.NewReader("\"FREE\"\n"), strings.NewReader("\"NOT_FREE\"\n"))
+	req := httptest.NewRequest(http.MethodPost, "/v1/models/commit/check?r=4", body)
+	w := &flakyFlushWriter{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(w, req)
+
+	events := parseSSE(t, w.Body.String())
+	if len(events) != 1 || events[0].name != "accepted" {
+		t.Fatalf("events = %+v, want one accepted verdict and nothing after the failed flush", events)
+	}
+}
+
+// TestCheckRouteIdleDeadline pins the server's ReadTimeout and
+// WriteTimeout as idle limits on /check: a trace that keeps moving may
+// outlast them, and one that stalls past ReadTimeout ends in a terminal
+// trace_aborted error event instead of a silent cut.
+func TestCheckRouteIdleDeadline(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	p := artifact.New()
+	// Generate the machine up front: the first write must not wait on it.
+	if _, _, _, err := p.Machine(context.Background(), "commit", 4); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(NewHandler(p))
+	ts.Config.ReadTimeout = timeout
+	ts.Config.WriteTimeout = timeout
+	ts.Start()
+	defer ts.Close()
+
+	stream := func(t *testing.T, feed func(w io.Writer)) []sseEvent {
+		pr, pw := io.Pipe()
+		fed := make(chan struct{})
+		go func() {
+			defer close(fed)
+			feed(pw)
+			pw.Close()
+		}()
+		defer func() {
+			pr.Close() // fail the feeder's writes if the stream ended early
+			<-fed
+		}()
+		resp, err := ts.Client().Post(ts.URL+"/v1/models/commit/check?r=4", "application/jsonl", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parseSSE(t, string(raw))
+	}
+
+	t.Run("trickle", func(t *testing.T) {
+		events := stream(t, func(w io.Writer) {
+			for i := 0; i < 10; i++ { // 1 s in all, 100 ms apart
+				time.Sleep(timeout / 3)
+				msg := "\"FREE\"\n"
+				if i%2 == 1 {
+					msg = "\"NOT_FREE\"\n"
+				}
+				io.WriteString(w, msg)
+			}
+		})
+		last := events[len(events)-1]
+		if last.name != "summary" || !strings.Contains(last.data, `"lines":10,"events":10,"accepted":10`) {
+			t.Fatalf("terminal event %+v after %d events", last, len(events))
+		}
+	})
+	t.Run("idle", func(t *testing.T) {
+		events := stream(t, func(w io.Writer) {
+			io.WriteString(w, "\"FREE\"\n")
+			time.Sleep(2 * timeout)
+		})
+		last := events[len(events)-1]
+		if last.name != "error" || !strings.Contains(last.data, `"code":"`+CodeTraceAborted+`"`) {
+			t.Fatalf("terminal event %+v, want a trace_aborted error", last)
+		}
+		if events[0].name != "accepted" {
+			t.Errorf("first event %+v, want the verdict for the line before the stall", events[0])
+		}
+	})
 }

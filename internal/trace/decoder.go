@@ -226,9 +226,42 @@ func indexRuleSep(s string) int {
 // DefaultRules returns the regex front-end's fallback rule set: the
 // first ALL_CAPS token of a line (two or more characters) is the
 // message — the shape of the repository's machine vocabularies (VOTE,
-// STORE_ACK, SUCC_FAIL, ...).
+// STORE_ACK, SUCC_FAIL, ...). It is the specification of the decoder's
+// default; the decoder itself matches it with defaultToken.
 func DefaultRules() []Rule {
 	return []Rule{{Pattern: regexp.MustCompile(`\b([A-Z][A-Z0-9_]+)\b`)}}
+}
+
+// defaultToken matches DefaultRules' pattern without the regexp engine,
+// whose \b handling forces the slow matcher. A \b-delimited match of
+// [A-Z][A-Z0-9_]+ is exactly a whole word — a maximal run of ASCII \w
+// bytes — that starts with [A-Z] and has no [a-z]; the first such word
+// of at least two bytes is the match. Bytes outside ASCII are never
+// word bytes, as in the regexp package. It returns the token's bounds,
+// or -1, -1 when the line has none.
+func defaultToken(b []byte) (start, end int) {
+	for i := 0; i < len(b); {
+		if !isWordByte(b[i]) {
+			i++
+			continue
+		}
+		j, caps := i, 'A' <= b[i] && b[i] <= 'Z'
+		for ; j < len(b) && isWordByte(b[j]); j++ {
+			if 'a' <= b[j] && b[j] <= 'z' {
+				caps = false
+			}
+		}
+		if caps && j-i >= 2 {
+			return i, j
+		}
+		i = j
+	}
+	return -1, -1
+}
+
+// isWordByte reports whether c is in the ASCII \w class [0-9A-Za-z_].
+func isWordByte(c byte) bool {
+	return '0' <= c && c <= '9' || 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_'
 }
 
 // RegexDecoder decodes text traces through an ordered rule list:
@@ -245,9 +278,6 @@ type RegexDecoder struct {
 // NewRegexDecoder returns a regex decoder over r. A nil or empty rule
 // list selects DefaultRules.
 func NewRegexDecoder(r io.Reader, rules []Rule) *RegexDecoder {
-	if len(rules) == 0 {
-		rules = DefaultRules()
-	}
 	return &RegexDecoder{lr: newLineReader(r), rules: rules, intern: make(interner)}
 }
 
@@ -260,6 +290,12 @@ func (d *RegexDecoder) Next() (Event, error) {
 		}
 		if len(bytes.TrimSpace(b)) == 0 {
 			continue
+		}
+		if len(d.rules) == 0 {
+			if i, j := defaultToken(b); i >= 0 {
+				return Event{Line: d.lr.line, Msg: d.intern.get(b[i:j])}, nil
+			}
+			return Event{Line: d.lr.line, Skip: true}, nil
 		}
 		for i := range d.rules {
 			rule := &d.rules[i]
