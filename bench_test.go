@@ -97,7 +97,8 @@ func BenchmarkGenerateFrontier(b *testing.B) {
 			opts []core.Option
 		}{
 			{"frontier", nil},
-			{"frontier-workers-4", []core.Option{core.WithWorkers(4)}},
+			// No trailing digits: benchgate strips a "-N" GOMAXPROCS suffix.
+			{"frontier-4-workers", []core.Option{core.WithWorkers(4)}},
 			{"legacy-enumerate", []core.Option{core.WithoutPruning()}},
 		}
 		for _, cfg := range configs {
@@ -205,7 +206,7 @@ func BenchmarkRenderXML(b *testing.B) {
 }
 
 // BenchmarkRenderGoSource measures the Fig. 16 generated implementation
-// (E4), including gofmt formatting.
+// (E4), including the parse check of the emitted source.
 func BenchmarkRenderGoSource(b *testing.B) {
 	machine := buildCommitMachine(b, 4)
 	r := render.NewGoSourceRenderer("bench")

@@ -2,10 +2,15 @@ package render
 
 import (
 	"fmt"
+	"go/doc/comment"
 	"go/format"
+	"go/parser"
 	"go/token"
+	"math"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"asagen/internal/core"
 )
@@ -83,10 +88,10 @@ func SanitizePackageName(name string) string {
 // Name implements Renderer.
 func (r *GoSourceRenderer) Name() string { return "go" }
 
-// Render produces gofmt-formatted Go source for the machine. Rendering
-// fails if the machine is empty or the emitted source does not parse —
-// which would indicate a renderer bug, surfaced as an error rather than a
-// broken artefact.
+// Render produces Go source for the machine, laid out exactly as gofmt
+// would print it. Rendering fails if the machine is empty or the emitted
+// source does not parse — which would indicate a renderer bug, surfaced as
+// an error rather than a broken artefact.
 func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	src, err := r.renderSource(m)
 	if err != nil {
@@ -100,9 +105,55 @@ func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	}, nil
 }
 
+// renderSource emits the source and checks that it parses. Text that gofmt
+// would restructure rather than copy (see goSource.restructured) is the one
+// case still handed to go/format, so such artefacts keep the bytes gofmt
+// gives them.
 func (r *GoSourceRenderer) renderSource(m *core.StateMachine) (string, error) {
+	src, canonical, err := r.emit(m)
+	if err != nil {
+		return "", err
+	}
+	if !canonical {
+		formatted, err := format.Source([]byte(src))
+		if err != nil {
+			return "", parseError(m, err)
+		}
+		return string(formatted), nil
+	}
+	// The parse format.Source would do, minus comment collection.
+	if _, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution); err != nil {
+		return "", parseError(m, err)
+	}
+	return src, nil
+}
+
+func parseError(m *core.StateMachine, err error) error {
+	return fmt.Errorf("render: go source for %s: generated code does not parse: %w", m.ModelName, err)
+}
+
+// goSource is the state of one Go source emission: the output buffer, the
+// names computed once per render, and whether some text needs gofmt's
+// printer.
+type goSource struct {
+	b       *Buffer
+	consts  map[*core.State]string
+	actions []string          // the action vocabulary in first-use order
+	methods map[string]string // action → Actions method name
+	// restructured is set by text that gofmt does more to than drop
+	// carriage returns from comments and trim trailing white space: a
+	// newline or another control character in a comment, a "+build" line,
+	// doc comment text that go/doc/comment reprints differently (see
+	// docComment), or a package or method name that is not an identifier.
+	restructured bool
+}
+
+// emit writes the machine's Go source in gofmt's canonical layout. The
+// second result is false when some text makes that layout unreliable
+// (goSource.restructured).
+func (r *GoSourceRenderer) emit(m *core.StateMachine) (string, bool, error) {
 	if m.Start == nil || len(m.States) == 0 {
-		return "", fmt.Errorf("render: go source: machine has no states")
+		return "", false, fmt.Errorf("render: go source: machine has no states")
 	}
 	actionMethod := r.ActionMethod
 	if actionMethod == nil {
@@ -113,9 +164,15 @@ func (r *GoSourceRenderer) renderSource(m *core.StateMachine) (string, error) {
 		pkg = DefaultPackageName(m)
 	}
 
+	g := &goSource{
+		b:       NewBuffer(),
+		consts:  make(map[*core.State]string, len(m.States)),
+		methods: map[string]string{},
+		// A caller-chosen name that is not an identifier is one gofmt
+		// rejects or respaces.
+		restructured: !token.IsIdentifier(pkg),
+	}
 	// Collect the action vocabulary in first-use order.
-	var actions []string
-	seen := map[string]bool{}
 	for _, s := range m.States {
 		for _, msg := range m.Messages {
 			tr := s.Transition(msg)
@@ -123,39 +180,100 @@ func (r *GoSourceRenderer) renderSource(m *core.StateMachine) (string, error) {
 				continue
 			}
 			for _, a := range tr.Actions {
-				if !seen[a] {
-					seen[a] = true
-					actions = append(actions, a)
+				if _, ok := g.methods[a]; !ok {
+					method := actionMethod(a)
+					g.restructured = g.restructured || !token.IsIdentifier(method)
+					g.methods[a] = method
+					g.actions = append(g.actions, a)
 				}
 			}
 		}
 	}
 
-	b := NewBuffer()
-	b.AddLn("// Code generated by asagen fsmgen (model ", m.ModelName,
+	model := g.inline(m.ModelName)
+	b := g.b
+	b.AddLn("// Code generated by asagen fsmgen (model ", model,
 		", parameter ", itoa(m.Parameter), "). DO NOT EDIT.")
 	b.BlankLn()
-	b.AddLn("// Package ", pkg, " is a generated state-machine implementation of the")
-	b.AddLn("// ", m.ModelName, " protocol for parameter ", itoa(m.Parameter), ".")
+	g.docComment("Package "+pkg+" is a generated state-machine implementation of the",
+		model+" protocol for parameter "+itoa(m.Parameter)+".")
 	b.AddLn("package ", pkg)
 	b.BlankLn()
 
-	b.AddLn("// State enumerates the machine states. State names encode the values of")
-	b.AddLn("// the model's state components: ", componentList(m), ".")
+	g.docComment("State enumerates the machine states. State names encode the values of",
+		"the model's state components: "+g.inline(componentList(m))+".")
 	b.AddLn("type State int")
 	b.BlankLn()
-	r.emitConsts(b, m)
-	r.emitNames(b, m)
-	r.emitActionsInterface(b, actions, actionMethod)
-	r.emitMachine(b, m)
-	r.emitHandlers(b, m, actionMethod)
-	r.emitDispatch(b, m)
+	g.emitConsts(m, r.IncludeComments)
+	g.emitNames(m)
+	g.emitActionsInterface()
+	g.emitMachine(m)
+	g.emitHandlers(m)
+	g.emitDispatch(m)
+	return b.String(), !g.restructured, nil
+}
 
-	formatted, err := format.Source([]byte(b.String()))
-	if err != nil {
-		return "", fmt.Errorf("render: go source for %s: generated code does not parse: %w", m.ModelName, err)
+// inline returns text placed inside a line comment as gofmt prints it:
+// the scanner drops carriage returns from comments.
+func (g *goSource) inline(s string) string {
+	for _, c := range []byte(s) {
+		if c < ' ' && c != '\t' && c != '\r' {
+			g.restructured = true
+			break
+		}
 	}
-	return string(formatted), nil
+	return strings.ReplaceAll(s, "\r", "")
+}
+
+// buildConstraint reports whether a line comment starting with text reads
+// as a "// +build" line, which gofmt moves to the top of the file.
+func buildConstraint(text string) bool {
+	return strings.HasPrefix(strings.TrimSpace(text), "+build")
+}
+
+// docComment emits a top-level doc comment holding the given lines, which
+// carry no newline. gofmt reprints doc comments through go/doc/comment,
+// which turns a pair of backquotes or apostrophes into a curly quote, an
+// indented line into a code block, and so on; so the text gets the same
+// parse and print, and text that would come out differently is left to
+// go/format.
+func (g *goSource) docComment(lines ...string) {
+	text := strings.Join(lines, "\n") + "\n"
+	var p comment.Parser
+	var pr comment.Printer
+	if string(pr.Comment(p.Parse(text))) != text {
+		g.restructured = true
+	}
+	for _, line := range lines {
+		if line == "" || line[0] == '\t' || buildConstraint(line) {
+			g.restructured = true
+		}
+		g.b.AddLn("// ", line)
+	}
+}
+
+// comment emits lead followed by a line comment holding text, as gofmt
+// prints it: carriage returns dropped and trailing white space trimmed.
+func (g *goSource) comment(lead, text string) {
+	text = strings.TrimRightFunc(g.inline(text), unicode.IsSpace)
+	if buildConstraint(text) {
+		g.restructured = true
+	}
+	if text == "" {
+		g.b.AddLn(lead, "//")
+		return
+	}
+	g.b.AddLn(lead, "// ", text)
+}
+
+// stateConst returns the state's constant name, computed once per render.
+func (g *goSource) stateConst(s *core.State) string {
+	c, ok := g.consts[s]
+	if !ok {
+		c = stateConst(s)
+		g.consts[s] = c
+	}
+	return c
 }
 
 func componentList(m *core.StateMachine) string {
@@ -166,31 +284,45 @@ func componentList(m *core.StateMachine) string {
 	return strings.Join(names, "/")
 }
 
-func (r *GoSourceRenderer) emitConsts(b *Buffer, m *core.StateMachine) {
+func (g *goSource) emitConsts(m *core.StateMachine, comments bool) {
+	b := g.b
 	b.AddLn("// Machine states. The zero State is invalid.")
 	b.AddLn("const (")
 	b.IncreaseIndent()
 	b.AddLn("StateInvalid State = iota")
 	for _, s := range m.States {
-		if r.IncludeComments {
+		if comments {
 			for _, line := range s.Annotations {
-				b.AddLn("// ", line)
+				g.comment("", line)
 			}
 		}
-		b.AddLn(stateConst(s))
+		b.AddLn(g.stateConst(s))
 	}
 	b.DecreaseIndent()
 	b.AddLn(")")
 	b.BlankLn()
 }
 
-func (r *GoSourceRenderer) emitNames(b *Buffer, m *core.StateMachine) {
+// emitNames writes the stateNames map literal with its values aligned the
+// way go/printer aligns key-value lists: each "key:" cell is padded to the
+// widest one in its section plus one blank (text/tabwriter widths, in
+// runes), and exprList starts a new section before a key whose byte size
+// is out of proportion to the geometric mean of the keys before it.
+func (g *goSource) emitNames(m *core.StateMachine) {
+	b := g.b
 	b.AddLn("// stateNames maps states to their encoded names.")
 	b.AddLn("var stateNames = map[State]string{")
 	b.IncreaseIndent()
-	for _, s := range m.States {
-		b.AddLn(stateConst(s), ": ", quote(s.Name), ",")
+	start, lnsum := 0, 0.0 // lnsum adds up ln(key size) over the section
+	for i, s := range m.States {
+		size := len(g.stateConst(s))
+		if i > start && newAlignSection(len(g.stateConst(m.States[i-1])), size, lnsum/float64(i-start)) {
+			g.emitNameSection(m.States[start:i])
+			start, lnsum = i, 0
+		}
+		lnsum += math.Log(float64(size))
 	}
+	g.emitNameSection(m.States[start:])
 	b.DecreaseIndent()
 	b.AddLn("}")
 	b.BlankLn()
@@ -208,13 +340,46 @@ func (r *GoSourceRenderer) emitNames(b *Buffer, m *core.StateMachine) {
 	b.BlankLn()
 }
 
-func (r *GoSourceRenderer) emitActionsInterface(b *Buffer, actions []string, method func(string) string) {
+// newAlignSection is go/printer's exprList rule for breaking the alignment
+// of a key-value list before a key of the given byte size: keys of at most
+// 40 bytes following one of at most 40 bytes never break; otherwise the
+// list breaks when the size differs by a factor of 2.5 or more from the
+// geometric mean, exp(meanLn), of the key sizes since the section began.
+func newAlignSection(prevSize, size int, meanLn float64) bool {
+	const smallSize, ratioLimit = 40, 2.5
+	if prevSize <= smallSize && size <= smallSize {
+		return false
+	}
+	ratio := float64(size) / math.Exp(meanLn)
+	return ratioLimit*ratio <= 1 || ratioLimit <= ratio
+}
+
+func (g *goSource) emitNameSection(states []*core.State) {
+	width := 0
+	for _, s := range states {
+		width = max(width, utf8.RuneCountInString(g.stateConst(s)))
+	}
+	for _, s := range states {
+		key := g.stateConst(s)
+		g.b.AddLn(key, ":", strings.Repeat(" ", width-utf8.RuneCountInString(key)+1), strconv.Quote(s.Name), ",")
+	}
+}
+
+// emitActionsInterface writes the Actions interface with the trailing
+// comments aligned one blank past the widest method, as gofmt aligns them.
+func (g *goSource) emitActionsInterface() {
+	b := g.b
 	b.AddLn("// Actions receives the outgoing messages sent on phase transitions. The")
 	b.AddLn("// embedding application supplies the transport.")
 	b.AddLn("type Actions interface {")
 	b.IncreaseIndent()
-	for _, a := range actions {
-		b.AddLn(method(a), "() // ", a)
+	width := 0
+	for _, a := range g.actions {
+		width = max(width, utf8.RuneCountInString(g.methods[a]))
+	}
+	for _, a := range g.actions {
+		method := g.methods[a]
+		g.comment(method+"()"+strings.Repeat(" ", width-utf8.RuneCountInString(method)+1), a)
 	}
 	b.DecreaseIndent()
 	b.AddLn("}")
@@ -222,14 +387,16 @@ func (r *GoSourceRenderer) emitActionsInterface(b *Buffer, actions []string, met
 	b.AddLn("// NopActions discards all actions.")
 	b.AddLn("type NopActions struct{}")
 	b.BlankLn()
-	for _, a := range actions {
-		b.AddLn("// ", method(a), " implements Actions.")
-		b.AddLn("func (NopActions) ", method(a), "() {}")
+	for _, a := range g.actions {
+		method := g.methods[a]
+		b.AddLn("// ", method, " implements Actions.")
+		b.AddLn("func (NopActions) ", method, "() {}")
 		b.BlankLn()
 	}
 }
 
-func (r *GoSourceRenderer) emitMachine(b *Buffer, m *core.StateMachine) {
+func (g *goSource) emitMachine(m *core.StateMachine) {
+	b := g.b
 	b.AddLn("// Machine is the generated protocol implementation: the current state plus")
 	b.AddLn("// the action sink.")
 	b.AddLn("type Machine struct {")
@@ -248,7 +415,7 @@ func (r *GoSourceRenderer) emitMachine(b *Buffer, m *core.StateMachine) {
 	b.AddLn("actions = NopActions{}")
 	b.DecreaseIndent()
 	b.AddLn("}")
-	b.AddLn("return &Machine{state: ", stateConst(m.Start), ", actions: actions}")
+	b.AddLn("return &Machine{state: ", g.stateConst(m.Start), ", actions: actions}")
 	b.DecreaseIndent()
 	b.AddLn("}")
 	b.BlankLn()
@@ -257,7 +424,7 @@ func (r *GoSourceRenderer) emitMachine(b *Buffer, m *core.StateMachine) {
 	b.BlankLn()
 	if m.Finish != nil {
 		b.AddLn("// Finished reports whether the machine has reached the finish state.")
-		b.AddLn("func (m *Machine) Finished() bool { return m.state == ", stateConst(m.Finish), " }")
+		b.AddLn("func (m *Machine) Finished() bool { return m.state == ", g.stateConst(m.Finish), " }")
 		b.BlankLn()
 	} else {
 		b.AddLn("// Finished reports whether the machine has reached a terminal state;")
@@ -267,11 +434,13 @@ func (r *GoSourceRenderer) emitMachine(b *Buffer, m *core.StateMachine) {
 	}
 }
 
-func (r *GoSourceRenderer) emitHandlers(b *Buffer, m *core.StateMachine, method func(string) string) {
+func (g *goSource) emitHandlers(m *core.StateMachine) {
+	b := g.b
 	for _, msg := range m.Messages {
-		b.AddLn("// Receive", camel(msg), " handles an incoming ", msg, " message. States in which")
-		b.AddLn("// the message is not applicable ignore it.")
-		b.AddLn("func (m *Machine) Receive", camel(msg), "() {")
+		name := camel(msg)
+		g.docComment("Receive"+name+" handles an incoming "+g.inline(msg)+" message. States in which",
+			"the message is not applicable ignore it.")
+		b.AddLn("func (m *Machine) Receive", name, "() {")
 		b.IncreaseIndent()
 		b.AddLn("switch m.state {")
 		b.BlankLn()
@@ -280,12 +449,12 @@ func (r *GoSourceRenderer) emitHandlers(b *Buffer, m *core.StateMachine, method 
 			if tr == nil {
 				continue
 			}
-			b.AddLn("case ", stateConst(s), ":")
+			b.AddLn("case ", g.stateConst(s), ":")
 			b.IncreaseIndent()
 			for _, a := range tr.Actions {
-				b.AddLn("m.actions.", method(a), "()")
+				b.AddLn("m.actions.", g.methods[a], "()")
 			}
-			b.AddLn("m.state = ", stateConst(tr.Target))
+			b.AddLn("m.state = ", g.stateConst(tr.Target))
 			b.DecreaseIndent()
 			b.BlankLn()
 		}
@@ -296,14 +465,15 @@ func (r *GoSourceRenderer) emitHandlers(b *Buffer, m *core.StateMachine, method 
 	}
 }
 
-func (r *GoSourceRenderer) emitDispatch(b *Buffer, m *core.StateMachine) {
+func (g *goSource) emitDispatch(m *core.StateMachine) {
+	b := g.b
 	b.AddLn("// Receive dispatches a message by its model name. It reports whether the")
 	b.AddLn("// message type is known to the machine.")
 	b.AddLn("func (m *Machine) Receive(msg string) bool {")
 	b.IncreaseIndent()
 	b.AddLn("switch msg {")
 	for _, msg := range m.Messages {
-		b.AddLn("case ", quote(msg), ":")
+		b.AddLn("case ", strconv.Quote(msg), ":")
 		b.IncreaseIndent()
 		b.AddLn("m.Receive", camel(msg), "()")
 		b.DecreaseIndent()
@@ -351,8 +521,4 @@ func camel(s string) string {
 		}
 	}
 	return b.String()
-}
-
-func quote(s string) string {
-	return fmt.Sprintf("%q", s)
 }

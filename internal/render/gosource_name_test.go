@@ -63,8 +63,8 @@ func TestGoSourceRendersHostileModelNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: render: %v", name, err)
 		}
-		// Render already gofmt-parses the output; additionally pin the
-		// derived clause.
+		// Render already checks that the output parses; additionally pin
+		// the derived clause.
 		want := "package " + SanitizePackageName(name) + "2"
 		if !strings.Contains(string(art.Data), want) {
 			t.Errorf("%q: generated source lacks %q", name, want)
